@@ -37,22 +37,11 @@ pub struct VerifiedResult {
     pub scores: Vec<f64>,
 }
 
-/// Small tolerance applied to boundary comparisons so legitimate results are
-/// not rejected due to floating-point noise.
+/// Small tolerance applied to the top-k and KNN boundary comparisons so
+/// legitimate results are not rejected due to floating-point noise. Range
+/// checks are exact: they mirror the server's window predicate
+/// ([`Query::select_window`]) comparison for comparison.
 const SCORE_EPS: f64 = 1e-9;
-
-/// Reusable scratch buffers for repeated verifications.
-///
-/// Rebuilding the FMH leaf window allocates a digest vector per call; a
-/// client verifying a stream of responses (the service client, the sharded
-/// merge path) can hold one `VerifyScratch` and amortize that allocation
-/// across calls via [`verify_at_epoch_with_scratch`].
-#[derive(Clone, Debug, Default)]
-pub struct VerifyScratch {
-    /// Leaf digests of the proven window: left boundary, records, right
-    /// boundary. Cleared (not shrunk) between calls.
-    leaves: Vec<Digest>,
-}
 
 /// Verifies a query result against its verification object.
 ///
@@ -89,22 +78,6 @@ pub fn verify_at_epoch(
     verifier: &dyn Verifier,
     epoch: u64,
 ) -> Result<VerifiedResult, VerifyError> {
-    let mut scratch = VerifyScratch::default();
-    verify_at_epoch_with_scratch(query, records, vo, template, verifier, epoch, &mut scratch)
-}
-
-/// Like [`verify_at_epoch`], reusing the caller's [`VerifyScratch`] so
-/// repeated verifications do not reallocate the leaf-digest buffer.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_at_epoch_with_scratch(
-    query: &Query,
-    records: &[Record],
-    vo: &VerificationObject,
-    template: &FunctionTemplate,
-    verifier: &dyn Verifier,
-    epoch: u64,
-    scratch: &mut VerifyScratch,
-) -> Result<VerifiedResult, VerifyError> {
     let mut cost = ClientCost::default();
     let x = query.weights();
     if x.len() != template.dims() {
@@ -114,9 +87,7 @@ pub fn verify_at_epoch_with_scratch(
     }
 
     // ---- Step 1a: rebuild the FMH part from the result + boundaries -------
-    let leaves = &mut scratch.leaves;
-    leaves.clear();
-    leaves.reserve(records.len() + 2);
+    let mut leaves: Vec<Digest> = Vec::with_capacity(records.len() + 2);
     leaves.push(vo.left_boundary.leaf_digest());
     cost.hash_ops += 1;
     for r in records {
@@ -127,7 +98,7 @@ pub fn verify_at_epoch_with_scratch(
     cost.hash_ops += 1;
 
     let first_leaf = vo.first_leaf as usize;
-    let outcome = verify_range(first_leaf, leaves, &vo.range_proof)
+    let outcome = verify_range(first_leaf, &leaves, &vo.range_proof)
         .map_err(|e| VerifyError::MalformedProof(e.to_string()))?;
     cost.hash_ops += outcome.hash_ops;
 
@@ -273,22 +244,24 @@ pub fn verify_at_epoch_with_scratch(
 
     match query {
         Query::Range { lower, upper, .. } => {
+            // Exactly the server's window predicate: a record is in the
+            // answer iff `lower <= score <= upper`.
             // Soundness: every returned record satisfies the range.
             for (i, s) in scores.iter().enumerate() {
-                if *s < lower - SCORE_EPS || *s > upper + SCORE_EPS {
+                if !(*lower..=*upper).contains(s) {
                     return Err(VerifyError::UnsoundRecord { position: i });
                 }
             }
             // Completeness: the entries flanking the window fall outside it.
             if let Some(ls) = left_score {
-                if ls >= *lower - SCORE_EPS {
+                if ls >= *lower {
                     return Err(VerifyError::Incomplete(
                         "left boundary record also satisfies the range".into(),
                     ));
                 }
             }
             if let Some(rs) = right_score {
-                if rs <= *upper + SCORE_EPS {
+                if rs <= *upper {
                     return Err(VerifyError::Incomplete(
                         "right boundary record also satisfies the range".into(),
                     ));

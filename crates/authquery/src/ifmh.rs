@@ -13,7 +13,6 @@
 //!    FMH root together with its defining inequalities (*multi-signature*).
 
 use crate::cost::OwnerStats;
-use crate::proof_cache::ProofCache;
 use crate::signing::SigningMode;
 use crate::vo::{
     epoch_binding_digest, intersection_node_hash, max_sentinel_digest, min_sentinel_digest,
@@ -38,19 +37,22 @@ pub struct IfmhTree {
     pub(crate) fmh: HashMap<u32, MerkleTree>,
     /// IMH hash per I-tree node (indexed by node id).
     pub(crate) node_hashes: Vec<Digest>,
-    pub(crate) mode: SigningMode,
-    /// Root signature (one-signature mode).
-    pub(crate) root_signature: Option<Signature>,
-    /// Per-subdomain signatures (multi-signature mode), keyed by node id.
-    pub(crate) leaf_signatures: HashMap<u32, Signature>,
+    /// The owner's signatures; their shape is the signing mode.
+    pub(crate) signatures: TreeSignatures,
     /// The publication epoch every signature in this tree is bound to.
     epoch: u64,
-    /// Per-subdomain interior proofs, materialized once at build time and
-    /// served read-only for the whole epoch.
-    proof_cache: ProofCache,
     stats: OwnerStats,
     /// I-tree construction statistics.
     pub build_stats: BuildStats,
+}
+
+/// The signatures an [`IfmhTree`] carries, one shape per [`SigningMode`].
+#[derive(Clone, Debug)]
+pub(crate) enum TreeSignatures {
+    /// One-signature mode: the signature over the epoch-bound IMH root.
+    One(Signature),
+    /// Multi-signature mode: one signature per subdomain, keyed by node id.
+    Multi(HashMap<u32, Signature>),
 }
 
 impl IfmhTree {
@@ -170,20 +172,17 @@ impl IfmhTree {
             }
         }
 
-        // Step 4: sign.
-        let mut root_signature = None;
-        let mut leaf_signatures = HashMap::new();
-        let signatures;
-        // Every signed digest is bound to the publication epoch first, so a
-        // signature from this publication cannot authenticate any other.
-        match mode {
+        // Step 4: sign. Every signed digest is bound to the publication
+        // epoch first, so a signature from this publication cannot
+        // authenticate any other.
+        let (signatures, signature_count) = match mode {
             SigningMode::OneSignature => {
                 let bound = epoch_binding_digest(&node_hashes[itree.root().index()], epoch);
                 hash_ops += 1;
-                root_signature = Some(signer.sign_digest(&bound));
-                signatures = 1;
+                (TreeSignatures::One(signer.sign_digest(&bound)), 1)
             }
             SigningMode::MultiSignature => {
+                let mut leaf_signatures = HashMap::new();
                 for &leaf in itree.leaf_ids() {
                     let constraints = itree.constraints(leaf);
                     let ineq = constraints.inequality_digest();
@@ -193,9 +192,10 @@ impl IfmhTree {
                     hash_ops += 2;
                     leaf_signatures.insert(leaf.0, signer.sign_digest(&bound));
                 }
-                signatures = leaf_signatures.len();
+                let count = leaf_signatures.len();
+                (TreeSignatures::Multi(leaf_signatures), count)
             }
-        }
+        };
 
         let sig_size = signer.verifier().signature_size();
         let stats = OwnerStats {
@@ -204,34 +204,19 @@ impl IfmhTree {
             imh_nodes: itree.node_count(),
             fmh_nodes,
             hash_ops,
-            signatures,
+            signatures: signature_count,
             structure_bytes: itree.byte_size()
                 + fmh_bytes
                 + node_hashes.len() * 32
-                + signatures * sig_size,
+                + signature_count * sig_size,
         };
-
-        // Step 5: materialize the interior-proof cache. Everything it holds
-        // is immutable for this epoch, so `vo_build` can assemble proofs by
-        // cloning instead of re-walking the I-tree per query.
-        let proof_cache = ProofCache::build(
-            &itree,
-            &node_hashes,
-            mode,
-            &root_signature,
-            &leaf_signatures,
-            epoch,
-        );
 
         IfmhTree {
             itree,
             fmh,
             node_hashes,
-            mode,
-            root_signature,
-            leaf_signatures,
+            signatures,
             epoch,
-            proof_cache,
             stats,
             build_stats,
         }
@@ -239,7 +224,10 @@ impl IfmhTree {
 
     /// The signing mode this tree was built with.
     pub fn mode(&self) -> SigningMode {
-        self.mode
+        match self.signatures {
+            TreeSignatures::One(_) => SigningMode::OneSignature,
+            TreeSignatures::Multi(_) => SigningMode::MultiSignature,
+        }
     }
 
     /// The publication epoch every signature in this tree is bound to.
@@ -270,11 +258,6 @@ impl IfmhTree {
     /// The FMH-tree attached to a subdomain node, if `id` is a leaf.
     pub fn fmh_tree(&self, id: NodeId) -> Option<&MerkleTree> {
         self.fmh.get(&id.0)
-    }
-
-    /// The epoch-scoped interior-proof cache materialized at build time.
-    pub fn proof_cache(&self) -> &ProofCache {
-        &self.proof_cache
     }
 
     /// Number of subdomains.
@@ -312,19 +295,20 @@ mod tests {
         let scheme = SignatureScheme::test_rsa(1);
         let tree = IfmhTree::build(&ds, SigningMode::OneSignature, &scheme);
         assert_eq!(tree.signature_count(), 1);
-        assert!(tree.root_signature.is_some());
-        assert!(tree.leaf_signatures.is_empty());
         assert_eq!(tree.mode(), SigningMode::OneSignature);
+        let TreeSignatures::One(root_signature) = &tree.signatures else {
+            panic!("one-signature tree carries a root signature");
+        };
         assert_eq!(tree.epoch(), 0);
         // The signature verifies against the epoch-bound root hash.
         let verifier = scheme.verifier();
         let bound = crate::vo::epoch_binding_digest(&tree.root_hash(), 0);
-        assert!(verifier.verify_digest(&bound, tree.root_signature.as_ref().unwrap()));
+        assert!(verifier.verify_digest(&bound, root_signature));
         // ...and against nothing else: neither the raw root hash nor another
         // epoch's binding.
-        assert!(!verifier.verify_digest(&tree.root_hash(), tree.root_signature.as_ref().unwrap()));
+        assert!(!verifier.verify_digest(&tree.root_hash(), root_signature));
         let other = crate::vo::epoch_binding_digest(&tree.root_hash(), 1);
-        assert!(!verifier.verify_digest(&other, tree.root_signature.as_ref().unwrap()));
+        assert!(!verifier.verify_digest(&other, root_signature));
     }
 
     #[test]
@@ -338,7 +322,11 @@ mod tests {
         // Same dataset, same key: the structure hashes agree but the
         // signatures differ because each binds its own epoch.
         assert_eq!(e1.root_hash(), e2.root_hash());
-        assert_ne!(e1.root_signature, e2.root_signature);
+        let (TreeSignatures::One(s1), TreeSignatures::One(s2)) = (&e1.signatures, &e2.signatures)
+        else {
+            panic!("one-signature trees carry a root signature");
+        };
+        assert_ne!(s1, s2);
     }
 
     #[test]
@@ -347,8 +335,11 @@ mod tests {
         let scheme = SignatureScheme::test_rsa(2);
         let tree = IfmhTree::build(&ds, SigningMode::MultiSignature, &scheme);
         assert_eq!(tree.signature_count(), tree.subdomain_count());
-        assert_eq!(tree.leaf_signatures.len(), tree.subdomain_count());
-        assert!(tree.root_signature.is_none());
+        assert_eq!(tree.mode(), SigningMode::MultiSignature);
+        let TreeSignatures::Multi(leaf_signatures) = &tree.signatures else {
+            panic!("multi-signature tree carries per-subdomain signatures");
+        };
+        assert_eq!(leaf_signatures.len(), tree.subdomain_count());
     }
 
     #[test]

@@ -67,21 +67,17 @@ pub mod cost;
 pub mod error;
 pub mod ifmh;
 pub mod owner;
-pub mod proof_cache;
 pub mod query;
 pub mod server;
 pub mod signing;
 pub mod vo;
 
 pub use batch::{process_batch, verify_batch, BatchResponse, BatchVerification};
-pub use client::{
-    verify, verify_at_epoch, verify_at_epoch_with_scratch, VerifiedResult, VerifyScratch,
-};
+pub use client::{verify, verify_at_epoch, VerifiedResult};
 pub use cost::{ClientCost, OwnerStats, ServerCost};
 pub use error::VerifyError;
 pub use ifmh::IfmhTree;
 pub use owner::{DataOwner, PublishedMetadata};
-pub use proof_cache::{LeafProof, ProofCache};
 pub use query::{Query, QueryKind};
 pub use server::{ProcessTiming, QueryResponse, Server};
 pub use signing::SigningMode;

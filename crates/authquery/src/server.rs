@@ -1,9 +1,8 @@
 //! The (untrusted) server: query processing and VO construction.
 
 use crate::cost::ServerCost;
-use crate::ifmh::IfmhTree;
+use crate::ifmh::{IfmhTree, TreeSignatures};
 use crate::query::Query;
-use crate::signing::SigningMode;
 use crate::vo::{BoundaryEntry, IntersectionVerification, IvStep, VerificationObject};
 use std::time::{Duration, Instant};
 use vaq_crypto::Signature;
@@ -72,18 +71,6 @@ impl Server {
     /// split between query execution and VO construction, so callers can
     /// attribute latency to the right stage.
     pub fn process_timed(&self, query: &Query) -> (QueryResponse, ProcessTiming) {
-        self.process_inner(query, true)
-    }
-
-    /// Reference path: identical to [`Server::process`] but assembles the
-    /// subdomain-verification data by re-walking the I-tree instead of using
-    /// the interior-proof cache. Kept for differential testing — the VO
-    /// bytes must be identical to the cached path.
-    pub fn process_uncached(&self, query: &Query) -> QueryResponse {
-        self.process_inner(query, false).0
-    }
-
-    fn process_inner(&self, query: &Query, use_cache: bool) -> (QueryResponse, ProcessTiming) {
         let x = query.weights();
         assert_eq!(
             x.len(),
@@ -145,23 +132,9 @@ impl Server {
             .expect("every subdomain has an FMH tree");
         let range_proof = fmh.prove_range(first_leaf, last_leaf);
 
-        // 5. Subdomain verification data and signature: served from the
-        //    epoch-scoped interior-proof cache when available (everything in
-        //    it is immutable within the epoch), with the tree re-walk kept
-        //    as the uncached reference path.
-        let cached = if use_cache {
-            self.tree.proof_cache().get(leaf)
-        } else {
-            None
-        };
-        let (intersection_verification, signature, vo_nodes_collected) = match cached {
-            Some(proof) => (
-                proof.iv.clone(),
-                proof.signature.clone(),
-                proof.nodes_collected,
-            ),
-            None => self.assemble_interior_proof(&located, leaf),
-        };
+        // 5. Subdomain verification data and signature.
+        let (intersection_verification, signature, vo_nodes_collected) =
+            self.assemble_interior_proof(&located, leaf);
 
         let cost = ServerCost {
             imh_nodes_visited: located.nodes_visited,
@@ -188,15 +161,17 @@ impl Server {
         (QueryResponse { records, vo, cost }, timing)
     }
 
-    /// Legacy interior-proof assembly: re-walks the located path and reads
-    /// node hashes per query. The proof cache precomputes exactly this.
+    /// Interior-proof assembly: one-signature mode re-walks the located
+    /// root-to-leaf path, reading each sibling's IMH hash; multi-signature
+    /// mode ships the subdomain's defining half-spaces. Also returns the
+    /// number of IMH path nodes collected, for cost accounting.
     fn assemble_interior_proof(
         &self,
         located: &LocateResult,
         leaf: NodeId,
     ) -> (IntersectionVerification, Signature, usize) {
-        match self.tree.mode() {
-            SigningMode::OneSignature => {
+        match &self.tree.signatures {
+            TreeSignatures::One(root_signature) => {
                 let mut path = Vec::with_capacity(located.path.len());
                 for step in &located.path {
                     if let Node::Intersection {
@@ -218,18 +193,15 @@ impl Server {
                 let collected = path.len();
                 (
                     IntersectionVerification::OneSignature { path },
-                    self.tree
-                        .root_signature
-                        .clone()
-                        .expect("one-signature tree carries a root signature"),
+                    root_signature.clone(),
                     collected,
                 )
             }
-            SigningMode::MultiSignature => {
+            TreeSignatures::Multi(leaf_signatures) => {
                 let halfspaces = self.tree.itree.constraints(leaf).halfspaces.clone();
                 (
                     IntersectionVerification::MultiSignature { halfspaces },
-                    self.tree.leaf_signatures[&leaf.0].clone(),
+                    leaf_signatures[&leaf.0].clone(),
                     0,
                 )
             }

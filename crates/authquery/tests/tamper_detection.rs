@@ -298,6 +298,66 @@ fn tampered_boundary_record_is_detected() {
     }
 }
 
+/// Every record's score at `x`, ascending.
+fn sorted_scores(s: &Setup, x: &[f64]) -> Vec<f64> {
+    let mut scores: Vec<f64> = s.dataset.functions.iter().map(|f| f.eval(x)).collect();
+    scores.sort_by(f64::total_cmp);
+    scores
+}
+
+#[test]
+fn honest_range_answer_half_a_nano_above_an_excluded_score_verifies() {
+    for mode in both_modes() {
+        let s = setup(mode, 20, 21);
+        let x = vec![0.5];
+        let scores = sorted_scores(&s, &x);
+        let excluded = scores[scores.len() / 2];
+        let query = Query::range(x, excluded + 0.5e-9, 2.0);
+        let resp = s.server.process(&query);
+        let out = client::verify(
+            &query,
+            &resp.records,
+            &resp.vo,
+            &s.dataset.template,
+            s.verifier.as_ref(),
+        );
+        assert!(
+            out.is_ok(),
+            "mode {mode}: honest edge answer rejected: {out:?}"
+        );
+    }
+}
+
+#[test]
+fn leaving_out_a_record_at_or_one_ulp_above_lower_is_incomplete() {
+    for mode in both_modes() {
+        let s = setup(mode, 20, 22);
+        let x = vec![0.5];
+        let scores = sorted_scores(&s, &x);
+        let edge = scores[scores.len() / 2];
+        // The honest answer to a range starting just above `edge` leaves
+        // that record out; presented for a range that contains it, it is
+        // missing a record.
+        let forged = s
+            .server
+            .process(&Query::range(x.clone(), edge.next_up(), 2.0));
+        for lower in [edge, edge.next_down()] {
+            let query = Query::range(x.clone(), lower, 2.0);
+            let out = client::verify(
+                &query,
+                &forged.records,
+                &forged.vo,
+                &s.dataset.template,
+                s.verifier.as_ref(),
+            );
+            assert!(
+                matches!(out, Err(VerifyError::Incomplete(_))),
+                "mode {mode}, lower {lower:e}: expected Incomplete, got {out:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn fake_sentinel_in_place_of_boundary_is_detected() {
     for mode in both_modes() {

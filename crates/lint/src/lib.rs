@@ -9,9 +9,8 @@
 //!   increase in rank and the observed nesting graph must be acyclic.
 //! - **panic-path** — no `unwrap`/`expect`/`panic!`/`todo!` (or hot-path
 //!   slice indexing) in non-test vaq-service / vaq-wire code, nor in the
-//!   crypto/VO fast-path files (`montgomery.rs`, `sign_pool.rs`,
-//!   `proof_cache.rs`); requests die as typed errors, never as worker
-//!   panics.
+//!   crypto fast-path files (`montgomery.rs`, `sign_pool.rs`); requests
+//!   die as typed errors, never as worker panics.
 //! - **wire-exhaustiveness** — every `Request`/`Response`/`ErrorCode`
 //!   variant has an encode arm, a decode arm, and round-trip test coverage.
 //! - **epoch-discipline** — epoch ordering goes through
@@ -116,13 +115,12 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
     if service_src.is_empty() && wire_src.is_empty() {
         return Err(LintError::NoSources(root.to_path_buf()));
     }
-    // Crypto / VO fast-path files run per request on the server; the
+    // Crypto fast-path files run per request on the server; the
     // panic-path pass holds them to the reactor's no-panic bar. Only the
-    // named hot files are scanned — the rest of those crates (key
-    // generation, tree construction) runs owner-side at publish time.
+    // named hot files are scanned — the rest of the crate (key generation)
+    // runs owner-side at publish time.
     let hot_files: Vec<SourceFile> = read_tree(&root.join("crates/crypto/src"))?
         .into_iter()
-        .chain(read_tree(&root.join("crates/authquery/src"))?)
         .filter(|f| panic_path::CRYPTO_HOT_FILES.contains(&f.file_name()))
         .collect();
     let manifest =

@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use vaq_authquery::{client, Query, QueryResponse, VerifiedResult, VerifyScratch};
+use vaq_authquery::{client, Query, QueryResponse, VerifiedResult};
 use vaq_crypto::Verifier;
 use vaq_funcdb::FunctionTemplate;
 use vaq_wire::{ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep, StatsSnapshot};
@@ -19,7 +19,7 @@ const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
 ///
 /// One connection carries any number of requests, answered in order. The
 /// verification entry point [`ServiceClient::query_verified`] feeds the
-/// remote response straight into [`vaq_authquery::client::verify`], so a
+/// remote response straight into [`vaq_authquery::verify_at_epoch`], so a
 /// network round-trip gives the same soundness/completeness guarantees as a
 /// local call — the service is untrusted, exactly like the paper's server.
 #[derive(Debug)]
@@ -39,9 +39,6 @@ pub struct ServiceClient {
     /// Responses that arrived while waiting for a *different* tag, parked
     /// until their own [`ServiceClient::receive_tagged`] asks for them.
     parked: HashMap<u64, Response>,
-    /// Reusable verification scratch: repeated `query_verified` calls on one
-    /// connection share the leaf-digest buffer instead of reallocating it.
-    verify_scratch: VerifyScratch,
 }
 
 impl ServiceClient {
@@ -53,7 +50,6 @@ impl ServiceClient {
             next_tag: 0,
             pending_tags: HashSet::new(),
             parked: HashMap::new(),
-            verify_scratch: VerifyScratch::default(),
         }
     }
 
@@ -152,23 +148,28 @@ impl ServiceClient {
         }
     }
 
-    /// Sends one query and verifies the response against the owner's
-    /// published template and public key before returning it.
+    /// Sends one query pinned to the owner's published `epoch` and verifies
+    /// the response against the owner's template and public key at that
+    /// epoch before returning it.
+    ///
+    /// A service serving any other epoch answers with a typed stale-epoch
+    /// error (see [`ServiceClient::query_at`]); fetch the owner's current
+    /// publication and retry at its epoch.
     pub fn query_verified(
         &mut self,
+        epoch: u64,
         query: &Query,
         template: &FunctionTemplate,
         verifier: &dyn Verifier,
     ) -> Result<(QueryResponse, VerifiedResult), ServiceError> {
-        let response = self.query(query)?;
-        let verified = client::verify_at_epoch_with_scratch(
+        let response = self.query_at(epoch, query)?;
+        let verified = client::verify_at_epoch(
             query,
             &response.records,
             &response.vo,
             template,
             verifier,
-            0,
-            &mut self.verify_scratch,
+            epoch,
         )?;
         Ok((response, verified))
     }

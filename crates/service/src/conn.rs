@@ -12,14 +12,12 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+pub(crate) use vaq_wire::FRAME_HEADER_LEN;
 use vaq_wire::{WireError, MAGIC, VERSION};
 
 use crate::error::ServiceError;
 use crate::metrics::Stage;
 use crate::trace::Trace;
-
-/// VAQ1 frame header length: 4-byte magic, 2-byte version, 4-byte length.
-pub(crate) const FRAME_HEADER_LEN: usize = 10;
 
 /// What one [`FrameAssembler::advance`] step produced.
 #[derive(Debug)]

@@ -26,8 +26,9 @@
 //!   gracefully via a flag plus a best-effort loopback wakeup over a
 //!   polling accept loop.
 //! * [`ServiceClient`] — a blocking connector whose
-//!   [`ServiceClient::query_verified`] feeds remote responses straight into
-//!   [`vaq_authquery::client::verify`], so a network round-trip carries the
+//!   [`ServiceClient::query_verified`] pins a query to the owner's
+//!   published epoch and feeds the response straight into
+//!   [`vaq_authquery::verify_at_epoch`], so a network round-trip carries the
 //!   same soundness and completeness guarantees as a local call.
 //! * [`LoadGenerator`] — a closed-loop driver running N client threads over
 //!   seeded [`vaq_workload::QueryMix`] streams and reporting aggregate
@@ -85,11 +86,14 @@
 //! )
 //! .unwrap();
 //!
-//! // A remote data user queries over TCP and verifies the response.
+//! // A remote data user queries over TCP and verifies the response at the
+//! // epoch the owner published (`IfmhTree::build` signs epoch 0).
 //! let mut client = ServiceClient::connect(service.local_addr()).unwrap();
 //! let public_key = scheme.public_key();
+//! let published_epoch = 0;
+//! let query = Query::top_k(vec![0.6], 3);
 //! let (response, verified) = client
-//!     .query_verified(&Query::top_k(vec![0.6], 3), &dataset.template, &public_key)
+//!     .query_verified(published_epoch, &query, &dataset.template, &public_key)
 //!     .unwrap();
 //! assert_eq!(response.records.len(), 3);
 //! assert_eq!(verified.scores.len(), 3);

@@ -1,7 +1,6 @@
 //! The running query service: evented reactor core, accept/shed loop,
 //! worker pool, request dispatch, response cache and graceful shutdown.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -79,19 +78,6 @@ fn epoch_cache_key(epoch: u64, canonical: &[u8]) -> Vec<u8> {
     key.extend_from_slice(&epoch.to_be_bytes());
     key.extend_from_slice(canonical);
     key
-}
-
-thread_local! {
-    /// Per-worker frame-assembly scratch. Response encoding on the hot path
-    /// runs through [`WireEncode::to_framed_bytes_reusing`] with this
-    /// buffer, so a warm worker frames each response with one exact-size
-    /// allocation instead of growing a fresh payload vector per request.
-    static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Frames one response through the calling worker's reusable encode scratch.
-fn encode_frame<T: WireEncode>(response: &T) -> Vec<u8> {
-    ENCODE_SCRATCH.with(|scratch| response.to_framed_bytes_reusing(&mut scratch.borrow_mut()))
 }
 
 /// A running networked query service over one [`Server`].
@@ -665,7 +651,7 @@ fn batch_response(
         }
     }
     let frame = trace.time(Stage::Encode, || {
-        encode_frame(&Response::Batch { epoch, responses })
+        Response::Batch { epoch, responses }.to_framed_bytes()
     });
     trace.set_kind(RequestKind::Batch);
     frame
@@ -714,7 +700,7 @@ fn query_frame(
         let mut responses = process_queries(shared, serving, std::slice::from_ref(&query), trace)?;
         match responses.pop() {
             Some(response) => Ok(trace.time(Stage::Encode, || {
-                encode_frame(&Response::Query { epoch, response })
+                Response::Query { epoch, response }.to_framed_bytes()
             })),
             // One query in, one response out is the processing contract;
             // answer a typed Internal error rather than trusting it with a

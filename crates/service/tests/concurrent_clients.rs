@@ -64,7 +64,7 @@ fn concurrent_clients_complete_a_mixed_verified_workload() {
                 for spec in generator.mixed_batch(QUERIES_PER_CLIENT, 3) {
                     let query = spec_to_query(&spec);
                     let (_, outcome) = client
-                        .query_verified(&query, &template, public_key.as_ref())
+                        .query_verified(0, &query, &template, public_key.as_ref())
                         .unwrap_or_else(|e| panic!("client {i}, query {query}: {e}"));
                     assert!(!outcome.scores.is_empty() || matches!(query, Query::Range { .. }));
                     verified += 1;

@@ -194,16 +194,11 @@ impl Response {
     /// response payloads, and re-wrapping one for a tagged request must not
     /// cost a decode/re-encode of a potentially large verification object.
     pub fn tagged_frame_from_payload(tag: u64, inner_payload: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(1 + 8 + inner_payload.len());
-        payload.push(RESPONSE_TAG_TAGGED);
-        payload.extend_from_slice(&tag.to_le_bytes());
-        payload.extend_from_slice(inner_payload);
-        let mut out = Vec::with_capacity(payload.len() + 10);
-        out.extend_from_slice(&crate::MAGIC);
-        out.extend_from_slice(&crate::VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        crate::frame_with(|w| {
+            w.put_u8(RESPONSE_TAG_TAGGED);
+            w.put_u64(tag);
+            w.put_raw(inner_payload);
+        })
     }
 }
 

@@ -32,6 +32,9 @@ pub enum WireError {
     InvalidUtf8,
     /// A floating-point field decoded to NaN where NaN is not meaningful.
     InvalidFloat,
+    /// A boolean byte was neither 0 nor 1: each value has exactly one
+    /// encoding.
+    InvalidBool(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -55,6 +58,7 @@ impl std::fmt::Display for WireError {
             }
             WireError::InvalidUtf8 => write!(f, "invalid UTF-8 in string field"),
             WireError::InvalidFloat => write!(f, "invalid floating-point value"),
+            WireError::InvalidBool(b) => write!(f, "invalid boolean byte {b}"),
         }
     }
 }

@@ -21,19 +21,6 @@ impl Writer {
         Writer { buf: Vec::new() }
     }
 
-    /// Creates a writer that reuses the allocation of `buf` (the previous
-    /// contents are cleared). Lets encode-heavy callers keep one warm
-    /// buffer instead of growing a fresh vector per message.
-    pub fn reusing(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Writer { buf }
-    }
-
-    /// Bytes written so far, borrowed.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -169,9 +156,13 @@ impl<'a> Reader<'a> {
         self.take(1).first().copied().ok_or(WireError::Truncated)
     }
 
-    /// Reads a boolean.
+    /// Reads a boolean, accepting only the canonical bytes 0 and 1.
     pub fn get_bool(&mut self) -> Result<bool, WireError> {
-        Ok(self.get_u8()? != 0)
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::InvalidBool(b)),
+        }
     }
 
     /// Reads a little-endian u16.
@@ -306,6 +297,14 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_string(), Err(WireError::InvalidUtf8));
+    }
+
+    #[test]
+    fn non_canonical_booleans_rejected() {
+        for b in [2u8, 3, 0x80, 0xff] {
+            assert_eq!(Reader::new(&[b]).get_bool(), Err(WireError::InvalidBool(b)));
+        }
+        assert_eq!(Reader::new(&[0]).get_bool(), Ok(false));
     }
 
     #[test]

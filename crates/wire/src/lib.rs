@@ -44,6 +44,23 @@ pub use io::{Reader, Writer};
 pub const MAGIC: [u8; 4] = *b"VAQ1";
 /// Current format version.
 pub const VERSION: u16 = 1;
+/// Length of the frame header: 4-byte magic, 2-byte version, 4-byte
+/// payload length.
+pub const FRAME_HEADER_LEN: usize = 10;
+
+/// Builds one `VAQ1` frame in a single growing buffer: the header goes in
+/// with a payload-length placeholder, `encode_payload` writes the payload
+/// straight behind it, and the length is patched in place.
+pub(crate) fn frame_with(encode_payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_raw(&MAGIC);
+    w.put_u16(VERSION);
+    w.put_u32(0);
+    encode_payload(&mut w);
+    let payload_len = w.len() - FRAME_HEADER_LEN;
+    w.patch_u32(MAGIC.len() + 2, payload_len as u32);
+    w.into_bytes()
+}
 
 /// Types that can serialize themselves into the wire format.
 pub trait WireEncode {
@@ -60,32 +77,7 @@ pub trait WireEncode {
     /// Encodes with the `VAQ1` frame header (magic + version + payload
     /// length), suitable for writing to disk or a socket.
     fn to_framed_bytes(&self) -> Vec<u8> {
-        let payload = self.to_wire_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 10);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    /// Like [`WireEncode::to_framed_bytes`], but assembles the frame in
-    /// `scratch`, reusing its allocation across calls: the header goes in
-    /// first with a length placeholder, the payload is encoded directly
-    /// behind it, and the length is patched in place. The returned frame is
-    /// one exact-size copy of the scratch contents, so a warm caller pays
-    /// one allocation and one memcpy per message instead of two of each.
-    fn to_framed_bytes_reusing(&self, scratch: &mut Vec<u8>) -> Vec<u8> {
-        let mut w = Writer::reusing(std::mem::take(scratch));
-        w.put_raw(&MAGIC);
-        w.put_u16(VERSION);
-        w.put_u32(0); // payload-length placeholder, patched below
-        self.encode(&mut w);
-        let payload_len = w.len().saturating_sub(10);
-        w.patch_u32(6, payload_len as u32);
-        let frame = w.as_bytes().to_vec();
-        *scratch = w.into_bytes();
-        frame
+        frame_with(|w| self.encode(w))
     }
 }
 
@@ -105,7 +97,7 @@ pub trait WireDecode: Sized {
 
     /// Decodes a `VAQ1`-framed message.
     fn from_framed_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < 10 {
+        if bytes.len() < FRAME_HEADER_LEN {
             return Err(WireError::Truncated);
         }
         if bytes[..4] != MAGIC {
@@ -116,7 +108,7 @@ pub trait WireDecode: Sized {
             return Err(WireError::UnsupportedVersion(version));
         }
         let len = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
-        let payload = bytes.get(10..).ok_or(WireError::Truncated)?;
+        let payload = bytes.get(FRAME_HEADER_LEN..).ok_or(WireError::Truncated)?;
         if payload.len() != len {
             return Err(WireError::LengthMismatch {
                 declared: len,
@@ -155,16 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn reusing_frame_is_byte_identical_and_keeps_the_allocation() {
+    fn frame_header_carries_the_patched_payload_length() {
         let p = Pair(7, 2.5);
-        let mut scratch = Vec::with_capacity(256);
-        let frame = p.to_framed_bytes_reusing(&mut scratch);
-        assert_eq!(frame, p.to_framed_bytes());
-        assert_eq!(Pair::from_framed_bytes(&frame).unwrap(), p);
-        // The scratch allocation survives and is reused on the next call.
-        assert!(scratch.capacity() >= 256);
-        let again = Pair(9, -0.5).to_framed_bytes_reusing(&mut scratch);
-        assert_eq!(again, Pair(9, -0.5).to_framed_bytes());
+        let frame = p.to_framed_bytes();
+        let payload = p.to_wire_bytes();
+        assert_eq!(frame.len(), FRAME_HEADER_LEN + payload.len());
+        assert_eq!(&frame[..4], &MAGIC);
+        assert_eq!(frame[4..6], VERSION.to_le_bytes());
+        assert_eq!(frame[6..10], (payload.len() as u32).to_le_bytes());
+        assert_eq!(&frame[FRAME_HEADER_LEN..], payload.as_slice());
     }
 
     #[test]

@@ -21,6 +21,7 @@ fn main() {
     let dataset = uniform_dataset(24, 2, 77);
     let scheme = SignatureScheme::test_rsa(77);
     let tree = IfmhTree::build(&dataset, SigningMode::MultiSignature, &scheme);
+    let published_epoch = tree.epoch();
     let template = dataset.template.clone();
     let public_key = scheme.public_key();
     println!(
@@ -49,7 +50,7 @@ fn main() {
     println!("user: connected, ping {rtt:?}");
     let query = Query::top_k(vec![0.8, 0.4], 5);
     let (response, verified) = user
-        .query_verified(&query, &template, &public_key)
+        .query_verified(published_epoch, &query, &template, &public_key)
         .expect("remote response must verify");
     println!(
         "user: `{query}` -> {} records, verified sound+complete ({} hash ops, {} sig checks)",
