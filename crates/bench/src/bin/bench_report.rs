@@ -93,6 +93,8 @@ const REQUIRED_FIELDS: &[&str] = &[
     "\"dsa_sign\"",
     "\"dsa_verify\"",
     "\"sha256_pair\"",
+    "\"div_rem\"",
+    "\"rsa_sign\"",
 ];
 
 /// One hot-path stage's aggregate across every service in a scenario.

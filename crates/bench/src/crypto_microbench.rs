@@ -15,6 +15,11 @@
 //! * `sha256_pair` — hashing two digests through a concatenation buffer
 //!   (what the deleted `sha256_concat` did) vs the block-batched
 //!   [`sha256_pair`].
+//! * `div_rem` — a 2048-by-1024-bit division, bit at a time
+//!   ([`BigUint::div_rem_bitwise`]) vs Knuth's Algorithm D
+//!   ([`BigUint::div_rem`]).
+//! * `rsa_sign` — the full-width `m^d mod n` ([`RsaKeyPair::sign_plain`])
+//!   vs CRT signing with its public-key check ([`RsaKeyPair::sign`]).
 //!
 //! The rows land in the `crypto_microbench` section of the `bench_report`
 //! artifact.
@@ -27,12 +32,13 @@ use rand::SeedableRng;
 use serde::Serialize;
 use vaq_crypto::sha256::{sha256, sha256_pair, Digest};
 use vaq_crypto::sign_pool::DsaSigningPool;
-use vaq_crypto::{BigUint, DsaKeyPair, DsaPublicKey, DsaSignature};
+use vaq_crypto::{BigUint, DsaKeyPair, DsaPublicKey, DsaSignature, RsaKeyPair};
 
 /// One old-vs-new comparison in the artifact.
 #[derive(Serialize)]
 pub struct MicrobenchRow {
-    /// Operation name (`mod_pow`, `dsa_sign`, `dsa_verify`, `sha256_pair`).
+    /// Operation name (`mod_pow`, `dsa_sign`, `dsa_verify`, `sha256_pair`,
+    /// `div_rem`, `rsa_sign`).
     pub name: String,
     /// Timed iterations per side.
     pub ops: u64,
@@ -94,22 +100,23 @@ fn verify_legacy(pk: &DsaPublicKey, digest: &Digest, sig: &DsaSignature) -> bool
     v == sig.r
 }
 
-/// Runs the four comparisons. Smoke mode shrinks parameter sizes and
+/// Runs the six comparisons. Smoke mode shrinks parameter sizes and
 /// iteration counts so CI finishes in seconds; full mode uses the classic
-/// 512/160-bit DSA sizes and 256-bit exponentiations.
+/// 512/160-bit DSA sizes, 256-bit exponentiations and RSA-1024 (the
+/// division row is 2048-by-1024 bits in both modes).
 pub fn run(smoke: bool, seed: u64) -> Vec<MicrobenchRow> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc1b0);
-    let (exp_bits, p_bits, q_bits) = if smoke {
-        (128, 160, 64)
+    let (exp_bits, p_bits, q_bits, rsa_bits) = if smoke {
+        (128, 160, 64, 256)
     } else {
-        (256, 512, 160)
+        (256, 512, 160, 1024)
     };
-    let (exp_iters, sign_iters, verify_iters, sha_iters) = if smoke {
-        (10u64, 40u64, 10u64, 4_000u64)
+    let (exp_iters, sign_iters, verify_iters, sha_iters, div_iters, rsa_iters) = if smoke {
+        (10u64, 40u64, 10u64, 4_000u64, 10u64, 10u64)
     } else {
-        (60u64, 400u64, 40u64, 40_000u64)
+        (60u64, 400u64, 40u64, 40_000u64, 100u64, 40u64)
     };
-    let mut rows = Vec::with_capacity(4);
+    let mut rows = Vec::with_capacity(6);
 
     // mod_pow: identical random operands through both exponentiation paths.
     let modulus = odd_modulus(&mut rng, exp_bits);
@@ -164,6 +171,33 @@ pub fn run(smoke: bool, seed: u64) -> Vec<MicrobenchRow> {
     });
     rows.push(row("sha256_pair", sha_iters, old, new));
 
+    // div_rem: one bit per step vs one 32-bit quotient limb per step.
+    let dividend = BigUint::random_exact_bits(&mut rng, 2048);
+    let divisor = BigUint::random_exact_bits(&mut rng, 1024);
+    assert_eq!(
+        dividend.div_rem(&divisor),
+        dividend.div_rem_bitwise(&divisor)
+    );
+    let old = time_ns(div_iters, || {
+        black_box(dividend.div_rem_bitwise(&divisor));
+    });
+    let new = time_ns(div_iters, || {
+        black_box(dividend.div_rem(&divisor));
+    });
+    rows.push(row("div_rem", div_iters, old, new));
+
+    // rsa_sign: one full-width exponentiation vs two half-width ones plus
+    // Garner recombination and the s^e = m check.
+    let rsa = RsaKeyPair::generate(rsa_bits, &mut rng);
+    assert_eq!(rsa.sign(&digest), rsa.sign_plain(&digest));
+    let old = time_ns(rsa_iters, || {
+        black_box(rsa.sign_plain(&digest));
+    });
+    let new = time_ns(rsa_iters, || {
+        black_box(rsa.sign(&digest));
+    });
+    rows.push(row("rsa_sign", rsa_iters, old, new));
+
     rows
 }
 
@@ -172,10 +206,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_rows_cover_all_four_operations() {
+    fn smoke_rows_cover_all_six_operations() {
         let rows = run(true, 7);
         let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["mod_pow", "dsa_sign", "dsa_verify", "sha256_pair"]);
+        assert_eq!(
+            names,
+            [
+                "mod_pow",
+                "dsa_sign",
+                "dsa_verify",
+                "sha256_pair",
+                "div_rem",
+                "rsa_sign"
+            ]
+        );
         for row in &rows {
             assert!(row.ops > 0);
             assert!(row.old_ns_per_op > 0.0, "{}", row.name);

@@ -315,6 +315,12 @@ impl BigUint {
 
     /// Long division: returns `(quotient, remainder)`.
     ///
+    /// Single-limb divisors take one short-division pass; multi-limb
+    /// divisors go through Knuth's Algorithm D (TAOCP Vol. 2, §4.3.1),
+    /// which produces a whole 32-bit quotient limb per step. The bit-at-a-
+    /// time loop survives as [`BigUint::div_rem_bitwise`] and a property
+    /// suite holds the two equal.
+    ///
     /// Panics if `divisor` is zero.
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
@@ -334,15 +340,23 @@ impl BigUint {
             quo.normalize();
             return (quo, BigUint::from_u64(rem));
         }
+        let (q, r) = knuth_div_rem(&self.limbs, &divisor.limbs);
+        (BigUint::from_limbs(q), BigUint::from_limbs(r))
+    }
 
-        // Bitwise long division for the multi-limb case; O(bits) iterations,
-        // each a shift + compare + subtract. Plenty fast for <= 1024-bit
-        // operands used in this workspace.
-        let mut quotient = BigUint::zero();
+    /// Long division one bit at a time: each of the dividend's bits costs a
+    /// shift, a compare and possibly a subtract, all allocating.
+    ///
+    /// This is the pre-Algorithm-D implementation, kept (and exercised by
+    /// property tests) as the reference [`BigUint::div_rem`] must agree
+    /// with. Nothing on a hot path calls it.
+    ///
+    /// Panics if `divisor` is zero.
+    pub fn div_rem_bitwise(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+        assert!(!divisor.is_zero(), "division by zero");
         let mut remainder = BigUint::zero();
-        let total_bits = self.bits();
         let mut q_limbs = vec![0u32; self.limbs.len()];
-        for i in (0..total_bits).rev() {
+        for i in (0..self.bits()).rev() {
             remainder = remainder.shl(1);
             if self.bit(i) {
                 remainder = remainder.add(&BigUint::one());
@@ -352,9 +366,7 @@ impl BigUint {
                 q_limbs[i / 32] |= 1 << (i % 32);
             }
         }
-        quotient.limbs = q_limbs;
-        quotient.normalize();
-        (quotient, remainder)
+        (BigUint::from_limbs(q_limbs), remainder)
     }
 
     /// `self mod modulus`.
@@ -404,7 +416,7 @@ impl BigUint {
     }
 
     /// Modular exponentiation by plain LSB-first square-and-multiply, with
-    /// every product reduced by long division.
+    /// every product reduced by long division ([`BigUint::div_rem`]).
     ///
     /// This is the pre-Montgomery implementation, kept (and exercised by
     /// property tests) as the reference the fast path must agree with, and
@@ -562,6 +574,81 @@ impl Ord for BigUint {
     }
 }
 
+/// Knuth's Algorithm D (TAOCP Vol. 2, §4.3.1) on little-endian limbs:
+/// returns `(u / v, u mod v)` for `v.len() >= 2`, `u.len() >= v.len()` and
+/// a nonzero top limb in `v`. The step letters follow Knuth.
+fn knuth_div_rem(u: &[u32], v: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    const B: u64 = 1 << 32;
+    let n = v.len();
+    let m = u.len() - n;
+    // D1: shift both operands left so the divisor's top bit is set (the
+    // divisor's extra top limb is then zero and goes unused).
+    let shift = v[n - 1].leading_zeros();
+    let vn = shl_limbs(v, shift);
+    let mut un = shl_limbs(u, shift);
+    let (v1, v2) = (vn[n - 1] as u64, vn[n - 2] as u64);
+    let mut q = vec![0u32; m + 1];
+    // D2/D7: one quotient limb per position, most significant first.
+    for j in (0..=m).rev() {
+        // D3: estimate q̂ from the top two dividend limbs and correct it
+        // with the next limb. Afterwards q̂ is the true limb or one more.
+        let top = ((un[j + n] as u64) << 32) | un[j + n - 1] as u64;
+        let mut qhat = top / v1;
+        let mut rhat = top % v1;
+        while qhat >= B || qhat * v2 > ((rhat << 32) | un[j + n - 2] as u64) {
+            qhat -= 1;
+            rhat += v1;
+            if rhat >= B {
+                break;
+            }
+        }
+        // D4: un[j..=j+n] -= q̂ · vn.
+        let mut carry = 0u64;
+        let mut borrow = 0i64;
+        for i in 0..n {
+            let p = qhat * vn[i] as u64 + carry;
+            carry = p >> 32;
+            let t = un[i + j] as i64 - borrow - (p & 0xffff_ffff) as i64;
+            un[i + j] = t as u32;
+            borrow = (t < 0) as i64;
+        }
+        let t = un[j + n] as i64 - borrow - carry as i64;
+        un[j + n] = t as u32;
+        // D5/D6: a negative result means q̂ was one too large; add the
+        // divisor back (probability about 2/2^32 per limb).
+        if t < 0 {
+            qhat -= 1;
+            let mut c = 0u64;
+            for i in 0..n {
+                let s = un[i + j] as u64 + vn[i] as u64 + c;
+                un[i + j] = s as u32;
+                c = s >> 32;
+            }
+            un[j + n] = un[j + n].wrapping_add(c as u32);
+        }
+        q[j] = qhat as u32;
+    }
+    // D8: the remainder is the low n limbs, shifted back down.
+    let r = (0..n)
+        .map(|i| ((((un[i + 1] as u64) << 32) | un[i] as u64) >> shift) as u32)
+        .collect();
+    (q, r)
+}
+
+/// `limbs << shift` for `shift < 32`, one limb longer than the input to
+/// hold the bits shifted out of the top.
+fn shl_limbs(limbs: &[u32], shift: u32) -> Vec<u32> {
+    let out_of = |l: u32| (((l as u64) << shift) >> 32) as u32;
+    let mut out = Vec::with_capacity(limbs.len() + 1);
+    let mut prev = 0u32;
+    for &l in limbs {
+        out.push((l << shift) | out_of(prev));
+        prev = l;
+    }
+    out.push(out_of(prev));
+    out
+}
+
 /// Signed subtraction on (magnitude, negative) pairs: `a - b`.
 fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
     let (am, an) = a;
@@ -664,6 +751,71 @@ mod tests {
         assert!(r.cmp_to(&b) == Ordering::Less);
     }
 
+    /// Checks `div_rem` against known values, the reconstruction identity
+    /// and the bitwise reference.
+    fn check_division(u: &str, v: &str, q: &str, r: &str) {
+        let (u, v) = (BigUint::from_hex(u).unwrap(), BigUint::from_hex(v).unwrap());
+        let (got_q, got_r) = u.div_rem(&v);
+        assert_eq!(got_q.to_hex(), q, "quotient of {u} / {v}");
+        assert_eq!(got_r.to_hex(), r, "remainder of {u} / {v}");
+        assert_eq!(got_q.mul(&v).add(&got_r), u);
+        assert_eq!(u.div_rem_bitwise(&v), (got_q, got_r));
+    }
+
+    #[test]
+    fn div_rem_knuth_vectors_reach_every_branch() {
+        // (u, v, u / v, u mod v), in the style of the divmnu vectors of
+        // Hacker's Delight §9-2. The first three need the add-back step
+        // (D6), which random operands reach with probability ~2^-31 per
+        // quotient limb.
+        for (u, v, q, r) in [
+            // D6 with shift 0: the divisor's top bit is already set.
+            (
+                "7fffffff800000000000000000000000",
+                "800000000000000000000001",
+                "fffffffe",
+                "7fffffffffffffff00000002",
+            ),
+            // D6 with u and v of equal length (three limbs each).
+            (
+                "800000000000000000000003",
+                "200000000000000000000001",
+                "3",
+                "200000000000000000000000",
+            ),
+            // D6 with a 16-bit normalization shift.
+            (
+                "7fff000080000000000000000000",
+                "80000000000000000001",
+                "fffe0000",
+                "7fffffffffff00020000",
+            ),
+            // Two-limb divisor whose q̂ estimate needs the D3 correction.
+            (
+                "8000000000000000fffe00000000",
+                "80000000ffff",
+                "fffffffe00020005",
+                "7ff9fffd0005",
+            ),
+            // Two-limb divisor, shift 0, u and v of equal length.
+            (
+                "ffffffff00000005",
+                "8000000000000007",
+                "1",
+                "7ffffffefffffffe",
+            ),
+            // All-ones operands: q̂ = B - 1 estimates on every limb.
+            (
+                "ffffffffffffffffffffffff",
+                "ffffffffffffffff",
+                "100000000",
+                "ffffffff",
+            ),
+        ] {
+            check_division(u, v, q, r);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "division by zero")]
     fn div_by_zero_panics() {
@@ -758,6 +910,29 @@ mod tests {
             let (q, r) = ba.div_rem(&bb);
             proptest::prop_assert_eq!(q.mul(&bb).add(&r), ba);
             proptest::prop_assert!(r < bb);
+        }
+
+        #[test]
+        fn prop_div_rem_matches_bitwise(
+            u in proptest::collection::vec((0usize..10, 0u32..), 1..=64),
+            v in proptest::collection::vec((0usize..10, 0u32..), 1..=32),
+        ) {
+            // Dividends up to 2048 bits, divisors up to 1024 bits. About
+            // half the limbs are boundary values, which reach the q̂
+            // corrections (and now and then the add-back) far more often
+            // than uniform limbs do.
+            const EDGES: [u32; 5] = [0, 1, 0x7fff_ffff, 0x8000_0000, u32::MAX];
+            let pick = |limbs: Vec<(usize, u32)>| {
+                BigUint::from_limbs(
+                    limbs
+                        .into_iter()
+                        .map(|(i, r)| EDGES.get(i).copied().unwrap_or(r))
+                        .collect(),
+                )
+            };
+            let (u, v) = (pick(u), pick(v));
+            proptest::prop_assume!(!v.is_zero());
+            proptest::prop_assert_eq!(u.div_rem(&v), u.div_rem_bitwise(&v));
         }
 
         #[test]

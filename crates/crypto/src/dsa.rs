@@ -12,6 +12,7 @@ use crate::sha256::{sha256, Digest};
 use crate::sign_pool::{DsaNoncePair, DsaSigningPool};
 use rand::Rng;
 use std::cmp::Ordering;
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Fixed-base precomputation backing the fast verify path: a Montgomery
@@ -66,12 +67,21 @@ impl PartialEq for DsaPublicKey {
 
 impl Eq for DsaPublicKey {}
 
-/// DSA key pair (private exponent `x` kept internal).
-#[derive(Clone, Debug)]
+/// DSA key pair (private exponent `x` kept internal; `Debug` shows only
+/// the public part).
+#[derive(Clone)]
 pub struct DsaKeyPair {
     /// Public part.
     pub public: DsaPublicKey,
     x: BigUint,
+}
+
+impl fmt::Debug for DsaKeyPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DsaKeyPair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A DSA signature `(r, s)`.
@@ -274,6 +284,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let kp = DsaKeyPair::generate(160, 64, &mut rng);
         (kp, rng)
+    }
+
+    #[test]
+    fn debug_prints_only_the_public_key() {
+        let (kp, _) = keypair(17);
+        let shown = format!("{kp:?}");
+        assert!(shown.contains(&kp.public.y.to_hex()));
+        assert!(!shown.contains(&kp.x.to_hex()), "{shown}");
     }
 
     #[test]

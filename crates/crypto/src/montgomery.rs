@@ -1,8 +1,9 @@
 //! Montgomery-form modular arithmetic: the engine behind the hot-path
 //! [`BigUint::mod_pow`](crate::bignum::BigUint::mod_pow).
 //!
-//! The legacy exponentiation reduces every product by bitwise long
-//! division — O(bits²) per multiply. A [`MontgomeryContext`] fixes an odd
+//! The legacy exponentiation multiplies into a double-width product and
+//! then reduces it by a separate long division ([`BigUint::div_rem`],
+//! Knuth's Algorithm D). A [`MontgomeryContext`] fixes an odd
 //! modulus `n` up front and replaces each reduction with a CIOS
 //! (coarsely-integrated operand scanning) Montgomery multiplication: one
 //! fused multiply-reduce pass over the limbs with no division at all.

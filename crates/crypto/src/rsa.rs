@@ -7,11 +7,20 @@
 //! provides key generation, signing (`digest^d mod n`) and verification
 //! (`sig^e mod n == encoded digest`), with a minimal deterministic encoding
 //! of the digest into the modulus space.
+//!
+//! Signing runs through the Chinese Remainder Theorem (RFC 8017 §5.1.2):
+//! two half-width exponentiations mod `p` and `q`, recombined by Garner's
+//! formula. The result is checked against the public key before it leaves
+//! [`RsaKeyPair::sign`], so a fault in either half cannot leak a factor of
+//! `n` (the Boneh–DeMillo–Lipton attack); on a mismatch the plain
+//! `m^d mod n` of [`RsaKeyPair::sign_plain`] is returned instead. Both
+//! paths compute the same integer, so signatures are byte-identical.
 
 use crate::bignum::BigUint;
 use crate::prime::generate_prime;
 use crate::sha256::{sha256, Digest};
 use rand::Rng;
+use std::fmt;
 
 /// Public RSA verification key `(n, e)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,13 +31,32 @@ pub struct RsaPublicKey {
     pub e: BigUint,
 }
 
-/// RSA key pair; the private exponent stays in this struct.
-#[derive(Clone, Debug)]
+/// RSA key pair; the private exponent and the CRT parameters stay in this
+/// struct, and its `Debug` output shows only the public part.
+#[derive(Clone)]
 pub struct RsaKeyPair {
     /// Public part.
     pub public: RsaPublicKey,
-    /// Private exponent `d = e^{-1} mod lambda(n)`.
+    /// Private exponent `d = e^{-1} mod (p-1)(q-1)`.
     d: BigUint,
+    /// First prime factor of `n`.
+    p: BigUint,
+    /// Second prime factor of `n`.
+    q: BigUint,
+    /// `d mod (p - 1)`.
+    dp: BigUint,
+    /// `d mod (q - 1)`.
+    dq: BigUint,
+    /// `q^{-1} mod p`.
+    qinv: BigUint,
+}
+
+impl fmt::Debug for RsaKeyPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaKeyPair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 /// An RSA signature (the raw modular value, big-endian encoded).
@@ -73,8 +101,8 @@ fn encode_digest(digest: &Digest, n: &BigUint) -> BigUint {
 impl RsaKeyPair {
     /// Generates a key pair with a modulus of roughly `modulus_bits` bits.
     ///
-    /// `modulus_bits` of 512 matches the scale used for benchmarking; tests
-    /// use smaller keys for speed. Panics if `modulus_bits < 64`.
+    /// The benchmark and the paper's experiments use 1024 bits; tests use
+    /// smaller keys for speed. Panics if `modulus_bits < 64`.
     pub fn generate<R: Rng + ?Sized>(modulus_bits: usize, rng: &mut R) -> Self {
         assert!(modulus_bits >= 64, "modulus too small");
         let half = modulus_bits / 2;
@@ -99,19 +127,51 @@ impl RsaKeyPair {
                 Some(d) => d,
                 None => continue,
             };
+            let qinv = match q.mod_inverse(&p) {
+                Some(qinv) => qinv,
+                None => continue,
+            };
+            let dp = d.rem(&p.sub(&BigUint::one()));
+            let dq = d.rem(&q.sub(&BigUint::one()));
             return RsaKeyPair {
                 public: RsaPublicKey { n, e },
                 d,
+                p,
+                q,
+                dp,
+                dq,
+                qinv,
             };
         }
     }
 
-    /// Signs a 32-byte digest.
+    /// Signs a 32-byte digest via the CRT, checked against the public key.
     pub fn sign(&self, digest: &Digest) -> RsaSignature {
         let m = encode_digest(digest, &self.public.n);
-        let s = m.mod_pow(&self.d, &self.public.n);
+        // Garner: s = m2 + q · (qinv · (m1 - m2) mod p).
+        let m1 = m.mod_pow(&self.dp, &self.p);
+        let m2 = m.mod_pow(&self.dq, &self.q);
+        let h = self.qinv.mul_mod(&m1.sub_mod(&m2, &self.p), &self.p);
+        let s = m2.add(&h.mul(&self.q));
+        let s = if s.mod_pow(&self.public.e, &self.public.n) == m {
+            s
+        } else {
+            m.mod_pow(&self.d, &self.public.n)
+        };
         RsaSignature {
             bytes: s.to_bytes_be(),
+        }
+    }
+
+    /// Signs a 32-byte digest by the plain full-width `m^d mod n`.
+    ///
+    /// This is the pre-CRT implementation, kept as the reference
+    /// [`RsaKeyPair::sign`] must agree with byte for byte and as its
+    /// fallback when the CRT result fails the check.
+    pub fn sign_plain(&self, digest: &Digest) -> RsaSignature {
+        let m = encode_digest(digest, &self.public.n);
+        RsaSignature {
+            bytes: m.mod_pow(&self.d, &self.public.n).to_bytes_be(),
         }
     }
 
@@ -215,6 +275,43 @@ mod tests {
         let sig = kp.sign(&sha256(b"x"));
         assert!(sig.len() <= kp.public.signature_size());
         assert!(!sig.is_empty());
+    }
+
+    #[test]
+    fn crt_signing_equals_plain_signing_byte_for_byte() {
+        let mut rng = StdRng::seed_from_u64(0xc27);
+        for (bits, seed) in [(128, 10), (128, 11), (256, 12), (256, 13), (512, 14)] {
+            let kp = keypair(bits, seed);
+            for _ in 0..8 {
+                let digest = sha256(&rng.gen::<u64>().to_le_bytes());
+                let sig = kp.sign(&digest);
+                assert_eq!(sig, kp.sign_plain(&digest), "bits={bits} seed={seed}");
+                assert!(kp.public.verify(&digest, &sig));
+            }
+        }
+    }
+
+    #[test]
+    fn faulty_crt_half_falls_back_to_the_plain_signature() {
+        // A fault in one CRT half yields s ≡ m^d (mod q) but not (mod p);
+        // released, gcd(s^e - m, n) would reveal q. The check must catch it.
+        let good = keypair(256, 15);
+        let mut faulty = good.clone();
+        faulty.dp = faulty.dp.add(&BigUint::one());
+        let digest = sha256(b"fault injection");
+        let sig = faulty.sign(&digest);
+        assert_eq!(sig, good.sign_plain(&digest));
+        assert!(good.public.verify(&digest, &sig));
+    }
+
+    #[test]
+    fn debug_prints_only_the_public_key() {
+        let kp = keypair(256, 16);
+        let shown = format!("{kp:?}");
+        assert!(shown.contains(&kp.public.n.to_hex()));
+        for secret in [&kp.d, &kp.p, &kp.q, &kp.dp, &kp.dq, &kp.qinv] {
+            assert!(!shown.contains(&secret.to_hex()), "{shown}");
+        }
     }
 
     #[test]
